@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"os"
+	"slices"
 
 	"avgloc/internal/graph"
 	"avgloc/internal/lb/basegraph"
@@ -145,23 +146,20 @@ func run() error {
 		if err := lift.IsCoveringMap(inst.G, lifted, *q); err != nil {
 			return fmt.Errorf("lift invalid: %w", err)
 		}
-		ls := statsOf(lifted)
-		doc.Lift = &ls
-		seen := map[int]bool{}
 		for _, l := range []int{3, 5, 2*(*k) + 1} {
-			if seen[l] {
-				continue
+			if !slices.Contains(doc.ShortCycleBounds, l) {
+				doc.ShortCycleBounds = append(doc.ShortCycleBounds, l)
 			}
-			seen[l] = true
-			doc.ShortCycleBounds = append(doc.ShortCycleBounds, l)
-			doc.ShortCycleFrac = append(doc.ShortCycleFrac, lift.ShortCycleFraction(lifted, l))
 		}
+		// One fused scan yields every short-cycle fraction and the girth.
+		cs := lift.ScanCycles(lifted, doc.ShortCycleBounds...)
+		doc.ShortCycleFrac = cs.ShortFrac
+		doc.Lift = &graphStats{Nodes: lifted.N(), Edges: lifted.M(), MaxDegree: lifted.MaxDegree(), Girth: cs.Girth}
 		if !*jsonOut {
 			fmt.Printf("Random lift of order %d: %v\n", *q, lifted)
 			for i, l := range doc.ShortCycleBounds {
 				fmt.Printf("  fraction of nodes on a cycle of length <= %d: %.3f\n", l, doc.ShortCycleFrac[i])
 			}
-			// Girth is an O(n·m) scan; reuse the values statsOf computed.
 			fmt.Printf("  girth: %d (base graph girth: %d)\n", doc.Lift.Girth, doc.Base.Girth)
 		}
 

@@ -36,7 +36,11 @@
 // Θ(Σ_v T_v) rather than Θ(n · max T_v). The concurrent executor runs one
 // goroutine per node with channel round barriers, the literal rendering of
 // synchronous message passing. Engine reuse (runtime.NewEngine) keeps all
-// per-run buffers in graph-sized arenas across repeated trials.
+// per-run buffers in graph-sized arenas across repeated trials. Both
+// executors also run blocking procs (runtime.NewBlocking,
+// runtime.BlockingProgram): sequential node programs that call Step to end
+// a round, each driven as an iter.Pull coroutine, which is how the
+// multi-phase deterministic algorithms are written.
 //
 // # Measurement distributions
 //

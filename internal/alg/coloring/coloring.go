@@ -5,7 +5,7 @@
 //     colors), used by the deterministic ruling sets of Theorem 3 and the
 //     deterministic matching of Theorem 5;
 //   - Linial's O(Δ²)-coloring via polynomials over GF(q) [Lin87];
-//   - one-color-at-a-time reduction to Δ+1 colors;
+//   - Kuhn–Wattenhofer block-parallel reduction to Δ+1 colors;
 //   - an MIS sweep over color classes (a proper q-coloring yields an MIS in
 //     q rounds);
 //   - the randomized (Δ+1)-coloring whose node-averaged complexity is O(1)
@@ -18,6 +18,7 @@ package coloring
 
 import (
 	"math/rand/v2"
+	"slices"
 
 	"avgloc/internal/runtime"
 )
@@ -200,34 +201,23 @@ func Linial(pc *runtime.ProcContext, id int64, space int64, maxDeg int) (int64, 
 		q, _ := linialPrime(K, maxDeg)
 		d := polyDegree(K, q)
 		pc.Broadcast(linialMsg{Color: color})
-		in := pc.Step()
-		var nbr []int64
-		for _, m := range in {
-			if m == nil {
-				continue
-			}
-			nbr = append(nbr, m.(linialMsg).Color)
-		}
-		color = linialStep(color, nbr, q, d)
+		color = linialStep(color, pc.Step(), q, d)
 	}
 	return color, sched[len(sched)-1]
 }
 
 // linialStep maps color (viewed as a degree-<=d polynomial over GF(q)) to
-// (x, p(x)) for an evaluation point x where it differs from all neighbor
-// polynomials. Such x exists because the at most maxDeg neighbor
-// polynomials each agree with ours on at most d points and maxDeg*d < q.
-func linialStep(color int64, nbr []int64, q, d int64) int64 {
-	self := polyCoeffs(color, q, d)
-	others := make([][]int64, len(nbr))
-	for i, c := range nbr {
-		others[i] = polyCoeffs(c, q, d)
-	}
+// (x, p(x)) for an evaluation point x where it differs from the polynomials
+// of all neighbors that reported in inbox. Such x exists because the at
+// most maxDeg neighbor polynomials each agree with ours on at most d points
+// and maxDeg*d < q. It allocates nothing: every polynomial is evaluated
+// straight from the base-q digits of its color.
+func linialStep(color int64, inbox []runtime.Message, q, d int64) int64 {
 	for x := int64(0); x < q; x++ {
-		px := polyEval(self, x, q)
+		px := polyAt(color, x, q, d)
 		ok := true
-		for _, o := range others {
-			if polyEval(o, x, q) == px {
+		for _, m := range inbox {
+			if m != nil && polyAt(m.(linialMsg).Color, x, q, d) == px {
 				ok = false
 				break
 			}
@@ -241,52 +231,44 @@ func linialStep(color int64, nbr []int64, q, d int64) int64 {
 	return color % (q * q)
 }
 
-func polyCoeffs(c, q, d int64) []int64 {
-	coeffs := make([]int64, d+1)
-	for i := range coeffs {
-		coeffs[i] = c % q
-		c /= q
-	}
-	return coeffs
-}
-
-func polyEval(coeffs []int64, x, q int64) int64 {
+// polyAt evaluates at x, over GF(q), the polynomial whose coefficients are
+// the d+1 low base-q digits of c (the lowest digit is the constant term).
+func polyAt(c, x, q, d int64) int64 {
 	var acc int64
-	for i := len(coeffs) - 1; i >= 0; i-- {
-		acc = (acc*x + coeffs[i]) % q
+	xi := int64(1) // x^i mod q
+	for i := int64(0); i <= d; i++ {
+		acc = (acc + (c%q)*xi) % q
+		c /= q
+		xi = xi * x % q
 	}
 	return acc
 }
 
 type reduceMsg struct{ Color int64 }
 
-// ReduceColors lowers a proper coloring from palette q to palette target
-// (>= active degree + 1) by eliminating one color per lockstep round: the
-// top class recolors to the smallest color unused in its active
-// neighborhood. Takes q - target rounds (plus one initial exchange).
-func ReduceColors(pc *runtime.ProcContext, color int64, q, target int64) int64 {
-	// Initial exchange so everyone knows active-neighbor colors.
-	pc.Broadcast(reduceMsg{Color: color})
-	in := pc.Step()
-	nbr := make(map[int]int64, len(in))
-	for p, m := range in {
+// noColor marks a port in a neighbor-color cache whose neighbor has not
+// reported a color (it is halted, inactive or not participating).
+const noColor = -1
+
+// neighborColors returns the port-indexed cache of the colors reported in
+// inbox. A slice rather than a map keeps the parked proc's stack frame
+// small, which matters with one suspended coroutine per node.
+func neighborColors(inbox []runtime.Message) []int64 {
+	nbr := make([]int64, len(inbox))
+	for p := range nbr {
+		nbr[p] = noColor
+	}
+	ingestColors(nbr, inbox)
+	return nbr
+}
+
+// ingestColors records the colors reported in inbox into the cache.
+func ingestColors(nbr []int64, inbox []runtime.Message) {
+	for p, m := range inbox {
 		if m != nil {
 			nbr[p] = m.(reduceMsg).Color
 		}
 	}
-	for c := q - 1; c >= target; c-- {
-		if color == c {
-			color = smallestFree(nbr, target)
-			pc.Broadcast(reduceMsg{Color: color})
-		}
-		in = pc.Step()
-		for p, m := range in {
-			if m != nil {
-				nbr[p] = m.(reduceMsg).Color
-			}
-		}
-	}
-	return color
 }
 
 // ReduceColorsKW lowers a proper coloring from palette q to palette target
@@ -296,26 +278,14 @@ func ReduceColors(pc *runtime.ProcContext, color int64, q, target int64) int64 {
 // blocks recolor simultaneously into disjoint ranges, so this is
 // conflict-free), halving the palette in target rounds; after
 // O(log(q/target)) halvings a final one-at-a-time pass finishes. Total
-// O(target * log(q/target)) lockstep rounds, against O(q) for ReduceColors.
+// O(target * log(q/target)) lockstep rounds, against O(q) for eliminating
+// one color per round throughout.
 func ReduceColorsKW(pc *runtime.ProcContext, color int64, q, target int64) int64 {
 	if q <= target {
 		return color
 	}
 	pc.Broadcast(reduceMsg{Color: color})
-	in := pc.Step()
-	nbr := make(map[int]int64, len(in))
-	for p, m := range in {
-		if m != nil {
-			nbr[p] = m.(reduceMsg).Color
-		}
-	}
-	ingest := func(in []runtime.Message) {
-		for p, m := range in {
-			if m != nil {
-				nbr[p] = m.(reduceMsg).Color
-			}
-		}
-	}
+	nbr := neighborColors(pc.Step())
 	K := q
 	blockSize := 2 * target
 	for K > blockSize {
@@ -325,7 +295,7 @@ func ReduceColorsKW(pc *runtime.ProcContext, color int64, q, target int64) int64
 				color = smallestFreeIn(nbr, base, base+target)
 				pc.Broadcast(reduceMsg{Color: color})
 			}
-			ingest(pc.Step())
+			ingestColors(nbr, pc.Step())
 		}
 		// Everyone compacts blocks of 2*target surviving colors (all in
 		// the lower half of their block) down to blocks of target: a local
@@ -333,7 +303,9 @@ func ReduceColorsKW(pc *runtime.ProcContext, color int64, q, target int64) int64
 		remap := func(c int64) int64 { return (c/blockSize)*target + c%blockSize }
 		color = remap(color)
 		for p, c := range nbr {
-			nbr[p] = remap(c)
+			if c != noColor {
+				nbr[p] = remap(c)
+			}
 		}
 		K = ((K + blockSize - 1) / blockSize) * target
 	}
@@ -342,7 +314,7 @@ func ReduceColorsKW(pc *runtime.ProcContext, color int64, q, target int64) int64
 			color = smallestFreeIn(nbr, 0, target)
 			pc.Broadcast(reduceMsg{Color: color})
 		}
-		ingest(pc.Step())
+		ingestColors(nbr, pc.Step())
 	}
 	return color
 }
@@ -350,30 +322,13 @@ func ReduceColorsKW(pc *runtime.ProcContext, color int64, q, target int64) int64
 // smallestFreeIn returns the smallest color in [lo, hi) unused by the
 // cached active-neighbor colors. The caller guarantees hi-lo exceeds the
 // active degree.
-func smallestFreeIn(nbr map[int]int64, lo, hi int64) int64 {
-	used := make(map[int64]bool, len(nbr))
-	for _, c := range nbr {
-		used[c] = true
-	}
+func smallestFreeIn(nbr []int64, lo, hi int64) int64 {
 	for c := lo; c < hi; c++ {
-		if !used[c] {
+		if !slices.Contains(nbr, c) {
 			return c
 		}
 	}
 	return hi - 1 // unreachable under the degree precondition
-}
-
-func smallestFree(nbr map[int]int64, limit int64) int64 {
-	used := make(map[int64]bool, len(nbr))
-	for _, c := range nbr {
-		used[c] = true
-	}
-	for c := int64(0); c < limit; c++ {
-		if !used[c] {
-			return c
-		}
-	}
-	return limit - 1 // unreachable when limit > active degree
 }
 
 // RandGreedy is the randomized (Δ+1)-coloring of [Joh99]/[Lub93]: every

@@ -181,3 +181,95 @@ func TestRandGreedyNodeAveragedIsConstant(t *testing.T) {
 		t.Fatalf("node average grew with n: %v", avgs)
 	}
 }
+
+type refReduceMsg struct{ Color int64 }
+
+// reduceColorsKWMap is the map-cached form of ReduceColorsKW that the
+// port-indexed slice cache replaced, kept as a reference.
+func reduceColorsKWMap(pc *runtime.ProcContext, color int64, q, target int64) int64 {
+	if q <= target {
+		return color
+	}
+	nbr := map[int]int64{}
+	ingest := func(in []runtime.Message) {
+		for p, m := range in {
+			if m != nil {
+				nbr[p] = m.(refReduceMsg).Color
+			}
+		}
+	}
+	smallestFreeIn := func(lo, hi int64) int64 {
+		used := map[int64]bool{}
+		for _, c := range nbr {
+			used[c] = true
+		}
+		for c := lo; c < hi; c++ {
+			if !used[c] {
+				return c
+			}
+		}
+		return hi - 1
+	}
+	pc.Broadcast(refReduceMsg{Color: color})
+	ingest(pc.Step())
+	K := q
+	blockSize := 2 * target
+	for K > blockSize {
+		for s := int64(0); s < target; s++ {
+			if color%blockSize == target+s {
+				base := (color / blockSize) * blockSize
+				color = smallestFreeIn(base, base+target)
+				pc.Broadcast(refReduceMsg{Color: color})
+			}
+			ingest(pc.Step())
+		}
+		remap := func(c int64) int64 { return (c/blockSize)*target + c%blockSize }
+		color = remap(color)
+		for p, c := range nbr {
+			nbr[p] = remap(c)
+		}
+		K = ((K + blockSize - 1) / blockSize) * target
+	}
+	for c := K - 1; c >= target; c-- {
+		if color == c {
+			color = smallestFreeIn(0, target)
+			pc.Broadcast(refReduceMsg{Color: color})
+		}
+		ingest(pc.Step())
+	}
+	return color
+}
+
+// linialReduce runs Linial and then reduce, committing the final color.
+func linialReduce(reduce func(*runtime.ProcContext, int64, int64, int64) int64) runtime.Algorithm {
+	return runtime.NewBlocking("test/linial-reduce", func(view runtime.NodeView) runtime.Proc {
+		return func(pc *runtime.ProcContext) {
+			color, palette := coloring.Linial(pc, view.ID, int64(view.N)*int64(view.N), view.MaxDegree)
+			pc.CommitNode(int(reduce(pc, color, palette, int64(view.MaxDegree+1))))
+		}
+	})
+}
+
+func TestReduceColorsKWMatchesMapCache(t *testing.T) {
+	rng := rand.New(rand.NewPCG(37, 38))
+	for _, d := range []int{3, 4, 6, 8} {
+		for trial := 0; trial < 3; trial++ {
+			g := graph.RandomRegular(120, d, rng)
+			cfg := runtime.Config{IDs: ids.RandomPerm(g.N(), rng)}
+			got, err := runtime.Run(g, linialReduce(coloring.ReduceColorsKW), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := runtime.Run(g, linialReduce(reduceColorsKWMap), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for v := range got.NodeOut {
+				if got.NodeOut[v] != want.NodeOut[v] || got.NodeCommit[v] != want.NodeCommit[v] {
+					t.Fatalf("d=%d trial %d node %d: color %v at round %d, map cache gives %v at round %d",
+						d, trial, v, got.NodeOut[v], got.NodeCommit[v], want.NodeOut[v], want.NodeCommit[v])
+				}
+			}
+		}
+	}
+}

@@ -18,25 +18,25 @@ func (Det) Name() string { return "mis/det-coloring" }
 
 // Node implements runtime.Algorithm.
 func (Det) Node(view runtime.NodeView) runtime.Program {
-	alg := runtime.NewBlocking("mis/det-coloring", func(view runtime.NodeView) runtime.Proc {
-		return func(pc *runtime.ProcContext) {
-			space := int64(view.N) * int64(view.N)
-			if space < 4 {
-				space = 4
-			}
-			color, palette := coloring.Linial(pc, view.ID, space, view.MaxDegree)
-			target := int64(view.MaxDegree + 1)
-			if palette > target {
-				color = coloring.ReduceColorsKW(pc, color, palette, target)
-			} else {
-				target = palette
-			}
-			if coloring.MISSweep(pc, int(target), int(color)) {
-				pc.CommitNode(In)
-			} else {
-				pc.CommitNode(Out)
-			}
-		}
-	})
-	return alg.Node(view)
+	return runtime.BlockingProgram(view, detColoring)
+}
+
+func detColoring(pc *runtime.ProcContext) {
+	view := pc.View()
+	space := int64(view.N) * int64(view.N)
+	if space < 4 {
+		space = 4
+	}
+	color, palette := coloring.Linial(pc, view.ID, space, view.MaxDegree)
+	target := int64(view.MaxDegree + 1)
+	if palette > target {
+		color = coloring.ReduceColorsKW(pc, color, palette, target)
+	} else {
+		target = palette
+	}
+	if coloring.MISSweep(pc, int(target), int(color)) {
+		pc.CommitNode(In)
+	} else {
+		pc.CommitNode(Out)
+	}
 }

@@ -195,15 +195,11 @@ type removedMsg struct{}
 
 // Node implements runtime.Algorithm.
 func (d Det) Node(view runtime.NodeView) runtime.Program {
-	alg := runtime.NewBlocking(d.Name(), func(view runtime.NodeView) runtime.Proc {
-		return func(pc *runtime.ProcContext) {
-			d.run(pc, view)
-		}
-	})
-	return alg.Node(view)
+	return runtime.BlockingProgram(view, func(pc *runtime.ProcContext) { d.run(pc) })
 }
 
-func (d Det) run(pc *runtime.ProcContext, view runtime.NodeView) {
+func (d Det) run(pc *runtime.ProcContext) {
+	view := pc.View()
 	space := int64(view.N) * int64(view.N)
 	if space < 4 {
 		space = 4
@@ -211,12 +207,13 @@ func (d Det) run(pc *runtime.ProcContext, view runtime.NodeView) {
 	bits := bitsFor64(space - 1)
 	iters := d.Iterations(view.N, view.MaxDegree)
 
+	// A heap slice shared by every iteration: a per-iteration map would
+	// live in the proc's stack frame, and every suspended node holds one.
+	children := make([]bool, view.Degree)
 	for it := 0; it < iters; it++ {
-		inD, done := d.halvingIteration(pc, view, bits)
-		if done {
+		if d.halvingIteration(pc, children, bits) {
 			return // retired: output already committed
 		}
-		_ = inD // survivors (D members) continue
 	}
 
 	// Finisher: MIS of the surviving graph via Linial + reduction + sweep.
@@ -234,48 +231,41 @@ func (d Det) run(pc *runtime.ProcContext, view runtime.NodeView) {
 	}
 }
 
-// halvingIteration runs one dominating-set iteration. It returns
-// (inD, done): done=true means this node retired (committed Out);
-// otherwise the node is in the dominating set and stays active.
-func (d Det) halvingIteration(pc *runtime.ProcContext, view runtime.NodeView, bits int) (bool, bool) {
-	deg := view.Degree
+// halvingIteration runs one dominating-set iteration. It reports whether
+// this node retired (committed Out); otherwise the node is in the
+// dominating set and stays active.
+func (d Det) halvingIteration(pc *runtime.ProcContext, children []bool, bits int) bool {
 	// Round 1: census of active neighbors.
-	pc.Broadcast(censusMsg{ID: view.ID})
+	pc.Broadcast(censusMsg{ID: pc.View().ID})
 	in := pc.Step()
-	activeID := make(map[int]int64, deg)
+	parentPort := -1
+	var parentID int64
 	for p, m := range in {
-		if cm, ok := m.(censusMsg); ok {
-			activeID[p] = cm.ID
+		if cm, ok := m.(censusMsg); ok && (parentPort < 0 || cm.ID < parentID) {
+			parentPort, parentID = p, cm.ID
 		}
 	}
 
 	// Isolated nodes idle through this iteration in lockstep and survive;
 	// they join the ruling set in the finisher.
-	rounds := d.iterationRounds(bits)
-	if len(activeID) == 0 {
-		pc.StepN(rounds - 1)
-		return true, false
+	if parentPort < 0 {
+		pc.StepN(d.iterationRounds(bits) - 1)
+		return false
 	}
 
 	// Round 2: point at the smallest-identifier active neighbor.
-	parentPort := -1
-	var parentID int64
-	for p, id := range activeID {
-		if parentPort < 0 || id < parentID {
-			parentPort, parentID = p, id
-		}
-	}
 	pc.Send(parentPort, chosenMsg{})
 	in = pc.Step()
-	children := make(map[int]bool, deg)
+	degP := 0
 	for p, m := range in {
-		if _, ok := m.(chosenMsg); ok {
-			children[p] = true
+		_, ok := m.(chosenMsg)
+		children[p] = ok
+		if ok {
+			degP++
 		}
 	}
 
 	// Pseudoforest degree: children plus the parent edge unless mutual.
-	degP := len(children)
 	if !children[parentPort] {
 		degP++
 	}
@@ -332,19 +322,19 @@ func (d Det) halvingIteration(pc *runtime.ProcContext, view runtime.NodeView, bi
 	// Cole–Vishkin and the MIS sweep.
 	if removed && !leafParent {
 		pc.CommitNode(Out)
-		return false, true
+		return true
 	}
 	if removed && leafParent {
 		pc.StepN(coloring.CVRounds(bits) + 6)
-		return true, false
+		return false
 	}
-	color := coloring.CV6(pc, view.ID, bits, cvParent)
+	color := coloring.CV6(pc, pc.View().ID, bits, cvParent)
 	join := coloring.MISSweep(pc, 6, color)
 	if leafParent || join {
-		return true, false
+		return false
 	}
 	pc.CommitNode(Out)
-	return false, true
+	return true
 }
 
 // iterationRounds is the fixed lockstep length of one halving iteration.

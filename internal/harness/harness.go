@@ -738,11 +738,12 @@ func E8LiftGirth(opt Options) (*Table, error) {
 			return nil, err
 		}
 		pool.addRow(func(int) ([]string, error) {
+			st := lift.ScanCycles(lifted, 3, 5)
 			return []string{
 				fmt.Sprint(q), fmt.Sprint(lifted.N()),
-				f2(lift.ShortCycleFraction(lifted, 3)),
-				f2(lift.ShortCycleFraction(lifted, 5)),
-				fmt.Sprint(lifted.Girth()),
+				f2(st.ShortFrac[0]),
+				f2(st.ShortFrac[1]),
+				fmt.Sprint(st.Girth),
 			}, nil
 		})
 	}

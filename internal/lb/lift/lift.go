@@ -94,6 +94,52 @@ func ShortCycleFraction(g *graph.Graph, l int) float64 {
 	return float64(count) / float64(g.N())
 }
 
+// CycleStats is what ScanCycles reports about a graph.
+type CycleStats struct {
+	// ShortFrac[i] equals ShortCycleFraction(g, bounds[i]) for every bound
+	// of at least 2.
+	ShortFrac []float64
+	// Girth equals g.Girth(): the shortest cycle length, -1 for forests.
+	Girth int
+}
+
+// ScanCycles computes the short-cycle fractions for every bound in one
+// sweep, plus the girth. Each node's shortest cycle is searched once, up
+// to the largest bound, and counted against every bound it meets; the
+// girth is the shortest hit. Only when no node lies on a cycle within the
+// largest bound does it fall back to the full Girth scan.
+func ScanCycles(g *graph.Graph, bounds ...int) CycleStats {
+	maxBound := 0
+	for _, l := range bounds {
+		maxBound = max(maxBound, l)
+	}
+	st := CycleStats{ShortFrac: make([]float64, len(bounds)), Girth: -1}
+	scan := g.NewCycleScanner()
+	for v := 0; v < g.N() && maxBound > 0; v++ {
+		c := scan.ShortestCycleThrough(v, maxBound)
+		if c <= 0 {
+			continue
+		}
+		if st.Girth < 0 || c < st.Girth {
+			st.Girth = c
+		}
+		for i, l := range bounds {
+			if c <= l {
+				st.ShortFrac[i]++
+			}
+		}
+	}
+	if st.Girth < 0 {
+		st.Girth = g.Girth()
+	}
+	if g.N() > 0 {
+		for i := range st.ShortFrac {
+			st.ShortFrac[i] /= float64(g.N())
+		}
+	}
+	return st
+}
+
 // Instance is a lifted lower-bound instance with cluster provenance.
 type Instance struct {
 	Base *basegraph.Instance

@@ -108,3 +108,50 @@ func TestLiftedInstanceKeepsClusters(t *testing.T) {
 		}
 	}
 }
+
+// ScanCycles must reproduce the separate scans it replaces: the
+// short-cycle fractions per bound and the girth, including forests (girth
+// -1) and graphs with no cycle within the largest bound (the Girth
+// fallback).
+func TestScanCyclesMatchesSeparateScans(t *testing.T) {
+	rng := rand.New(rand.NewPCG(77, 78))
+	base, err := basegraph.Build(basegraph.Params{K: 1, Beta: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var graphs []*graph.Graph
+	for _, q := range []int{1, 2, 4, 8} {
+		for _, b := range []*graph.Graph{base.G, graph.Complete(5), graph.RandomRegular(40, 3, rng)} {
+			lifted, err := lift.Random(b, q, rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			graphs = append(graphs, lifted)
+		}
+	}
+	forest, _ := graph.Disjoint(graph.RandomTree(30, rng), graph.Path(7), graph.Star(5))
+	girth6, err := lift.Random(graph.Cycle(6), 5, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphs = append(graphs, forest, girth6, graph.Cycle(6), graph.Path(1))
+
+	for i, g := range graphs {
+		st := lift.ScanCycles(g, 3, 5)
+		if want := lift.ShortCycleFraction(g, 3); st.ShortFrac[0] != want {
+			t.Fatalf("graph %d (%v): frac ℓ≤3 %v, want %v", i, g, st.ShortFrac[0], want)
+		}
+		if want := lift.ShortCycleFraction(g, 5); st.ShortFrac[1] != want {
+			t.Fatalf("graph %d (%v): frac ℓ≤5 %v, want %v", i, g, st.ShortFrac[1], want)
+		}
+		if want := g.Girth(); st.Girth != want {
+			t.Fatalf("graph %d (%v): girth %d, want %d", i, g, st.Girth, want)
+		}
+	}
+	if got := lift.ScanCycles(forest, 3, 5).Girth; got != -1 {
+		t.Fatalf("forest girth %d, want -1", got)
+	}
+	if got := lift.ScanCycles(girth6, 3, 5).Girth; got < 6 {
+		t.Fatalf("lift of C6 has girth %d, want >= 6", got)
+	}
+}

@@ -1,13 +1,19 @@
 package runtime
 
+import "iter"
+
 // Blocking-style node programs: instead of hand-writing a state machine
 // whose Round method dispatches on the round number, a node program is
-// sequential code running in its own goroutine that calls Step() to end the
-// current round and receive the next round's inbox. This is the natural Go
-// rendering of a synchronous message-passing node and is what the
-// multi-phase deterministic algorithms (Theorems 3, 5 and 6) are written
-// in. The adapter below drives the goroutine from the engine's Round calls
-// with a pair of unbuffered channels acting as a coroutine switch.
+// sequential code that calls Step() to end the current round and receive
+// the next round's inbox. This is the natural Go rendering of a synchronous
+// message-passing node and is what the multi-phase deterministic algorithms
+// (Theorems 3, 5 and 6) are written in.
+//
+// The adapter below runs each Proc as an iter.Pull coroutine: the engine's
+// Round call resumes it with the new inbox, and Step yields back to the
+// engine. A coroutine switch hands the thread directly to the other side
+// without passing through the scheduler's run queues, so a blocking round
+// costs a pair of direct switches rather than two channel handoffs.
 
 // Proc is the body of a blocking node program. It must only interact with
 // the simulation through pc, and returns when the node is done (the node
@@ -16,13 +22,10 @@ type Proc func(pc *ProcContext)
 
 // ProcContext is the blocking-style counterpart of Context.
 type ProcContext struct {
-	view *NodeView
-	ctx  *Context
-	in   []Message
-
-	resume chan []Message
-	yield  chan struct{}
-	killed bool
+	view  *NodeView
+	ctx   *Context
+	in    []Message
+	yield func(struct{}) bool
 }
 
 // View returns the node's static local information.
@@ -53,16 +56,12 @@ func (pc *ProcContext) CommitEdge(port int, out any) { pc.ctx.CommitEdge(port, o
 // Step ends the current round (delivering everything queued with Send) and
 // blocks until the next round begins, returning the new inbox.
 func (pc *ProcContext) Step() []Message {
-	pc.yield <- struct{}{}
-	in, ok := <-pc.resume
-	if !ok {
-		// The engine is shutting down (round limit or abort): unwind the
-		// proc goroutine.
-		pc.killed = true
+	if !pc.yield(struct{}{}) {
+		// The engine stopped the coroutine (round limit or abort): unwind
+		// the proc.
 		panic(procKilled{})
 	}
-	pc.in = in
-	return in
+	return pc.in
 }
 
 // StepN calls Step n times, discarding inboxes; a convenience for idle
@@ -75,69 +74,63 @@ func (pc *ProcContext) StepN(n int) {
 
 type procKilled struct{}
 
-// procProgram adapts a Proc to the engine's Program interface.
+// procProgram adapts a Proc to the engine's Program interface. The
+// coroutine is created lazily on the first Round.
 type procProgram struct {
-	f       Proc
-	view    NodeView
-	pc      *ProcContext
-	started bool
-	done    bool
+	f    Proc
+	view NodeView
+	pc   ProcContext
+	next func() (struct{}, bool)
+	stop func()
 }
 
 var _ Program = (*procProgram)(nil)
 var _ stopper = (*procProgram)(nil)
 
 func (p *procProgram) Round(ctx *Context, inbox []Message) {
-	if p.done {
-		ctx.Halt()
-		return
-	}
-	if !p.started {
-		p.started = true
-		p.pc = &ProcContext{
-			view:   &p.view,
-			ctx:    ctx,
-			resume: make(chan []Message),
-			yield:  make(chan struct{}),
-		}
-		go func() {
-			defer func() {
-				if r := recover(); r != nil {
-					if _, ok := r.(procKilled); !ok {
-						panic(r) // real panic from the algorithm: propagate
-					}
-				}
-				p.pc.yield <- struct{}{}
-			}()
-			in, ok := <-p.pc.resume
-			if !ok {
-				panic(procKilled{})
-			}
-			p.pc.in = in
-			p.f(p.pc)
-			p.done = true
-		}()
+	if p.next == nil {
+		p.pc.view = &p.view
+		p.next, p.stop = iter.Pull(p.body)
 	}
 	p.pc.ctx = ctx
-	p.pc.resume <- inbox
-	<-p.pc.yield
-	if p.done {
+	p.pc.in = inbox
+	if _, running := p.next(); !running {
 		ctx.Halt()
 	}
 }
 
-// Stop unwinds the proc goroutine; called by the engine on abnormal exit.
+// body is the coroutine. It turns the procKilled unwind of a stopped proc
+// into a normal return; any other panic escapes, and iter.Pull re-raises
+// it from next on the engine's goroutine.
+func (p *procProgram) body(yield func(struct{}) bool) {
+	p.pc.yield = yield
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(procKilled); !ok {
+				panic(r)
+			}
+		}
+	}()
+	p.f(&p.pc)
+}
+
+// Stop unwinds a proc that is still suspended in Step; called by the engine
+// after every run. It is a no-op for procs that never started or finished.
 func (p *procProgram) Stop() {
-	if !p.started || p.done {
-		return
+	if p.stop != nil {
+		p.stop()
 	}
-	close(p.pc.resume)
-	<-p.pc.yield
-	p.done = true
 }
 
 // stopper is implemented by programs needing cleanup when a run aborts.
 type stopper interface{ Stop() }
+
+// BlockingProgram returns the Program that runs proc as the blocking node
+// program of the node with the given view. Algorithms whose Node method can
+// build the proc directly call this instead of going through NewBlocking.
+func BlockingProgram(view NodeView, proc Proc) Program {
+	return &procProgram{f: proc, view: view}
+}
 
 // blockingAlg wraps a Proc factory into an Algorithm.
 type blockingAlg struct {
@@ -148,7 +141,7 @@ type blockingAlg struct {
 func (a blockingAlg) Name() string { return a.name }
 
 func (a blockingAlg) Node(view NodeView) Program {
-	return &procProgram{f: a.f(view), view: view}
+	return BlockingProgram(view, a.f(view))
 }
 
 // NewBlocking builds an Algorithm from a blocking-style node program

@@ -188,8 +188,8 @@ func (ex *execution) flip() {
 	ex.cur, ex.next = ex.next, ex.cur
 }
 
-// stopPrograms unwinds any program goroutines still alive (blocking-style
-// programs interrupted by a round-limit abort).
+// stopPrograms unwinds any proc coroutines still suspended (blocking-style
+// programs interrupted by a round-limit abort or a panic).
 func (ex *execution) stopPrograms() {
 	for _, p := range ex.progs {
 		if s, ok := p.(stopper); ok {

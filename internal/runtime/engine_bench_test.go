@@ -4,6 +4,7 @@ import (
 	"math/rand/v2"
 	"testing"
 
+	"avgloc/internal/alg/mis"
 	"avgloc/internal/graph"
 	"avgloc/internal/ids"
 	"avgloc/internal/runtime"
@@ -94,6 +95,22 @@ func BenchmarkRoundSparseFrontier(b *testing.B) {
 		}
 		if res.Rounds != 256 {
 			b.Fatalf("rounds = %d", res.Rounds)
+		}
+	}
+}
+
+// BenchmarkBlockingProcs runs the deterministic coloring MIS, a blocking
+// (coroutine) program on every node, on a 4096-node cycle: the cost of the
+// proc switch per node-round and of one coroutine per node.
+func BenchmarkBlockingProcs(b *testing.B) {
+	g := graph.Cycle(4096)
+	cfg := runtime.Config{IDs: ids.RandomPerm(g.N(), rand.New(rand.NewPCG(5, 6)))}
+	eng := runtime.NewEngine(g)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := eng.Run(mis.Det{}, cfg); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
