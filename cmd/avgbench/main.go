@@ -84,7 +84,6 @@ type benchBlock struct {
 
 func run() error {
 	onlyFlag := flag.String("only", "", "comma-separated experiment ids to run, e.g. E1,E3 (default: all)")
-	expFlag := flag.String("exp", "", "deprecated alias of -only")
 	full := flag.Bool("full", false, "full-scale sweeps (minutes instead of seconds)")
 	seed := flag.Uint64("seed", 42, "master seed")
 	parallel := flag.Int("parallel", 0, "worker budget per experiment (0 = GOMAXPROCS, 1 = sequential)")
@@ -106,15 +105,9 @@ func run() error {
 	if *full {
 		opt.Scale = harness.Full
 	}
-	filter := *onlyFlag
-	if filter == "" {
-		filter = *expFlag
-	} else if *expFlag != "" {
-		return fmt.Errorf("use -only or -exp, not both")
-	}
 	// Resolving the filter up front fails fast on typos — with the
 	// catalogue in the error — instead of erroring mid-sweep.
-	experiments, err := harness.Select(filter)
+	experiments, err := harness.Select(*onlyFlag)
 	if err != nil {
 		return err
 	}

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -502,23 +501,35 @@ func (s *server) submitError(w http.ResponseWriter, err error) {
 	httpError(w, status, err)
 }
 
+// maxBodyBytes caps a request body; larger bodies are refused with 413.
+const maxBodyBytes = 1 << 20
+
 // decodeJSON strictly decodes a bounded request body into v. Unknown
 // fields are rejected: silently dropping a misspelled "trials" would run
-// (and cache) a different scenario than the client asked for. Reports the
-// HTTP error itself and returns false on failure.
+// (and cache) a different scenario than the client asked for. So is
+// anything but whitespace after the value, and a body over maxBodyBytes is
+// refused with 413 rather than parsed truncated. Reports the HTTP error
+// itself and returns false on failure.
 func decodeJSON(w http.ResponseWriter, r *http.Request, what string, v any) bool {
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("reading body: %w", err))
-		return false
-	}
-	dec := json.NewDecoder(bytes.NewReader(body))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("parsing %s: %w", what, err))
+	err := dec.Decode(v)
+	if err == nil {
+		// A second Decode reaches io.EOF only if whitespace alone follows.
+		if err = dec.Decode(&json.RawMessage{}); err == io.EOF {
+			return true
+		}
+		if err == nil {
+			err = errors.New("unexpected data after the first JSON value")
+		}
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		httpError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("%s body exceeds %d bytes", what, tooLarge.Limit))
 		return false
 	}
-	return true
+	httpError(w, http.StatusBadRequest, fmt.Errorf("parsing %s: %w", what, err))
+	return false
 }
 
 func (s *server) decodeSpec(w http.ResponseWriter, r *http.Request) *scenario.Spec {

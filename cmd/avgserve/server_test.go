@@ -602,3 +602,29 @@ func TestPersistentCacheAcrossRestart(t *testing.T) {
 		t.Fatal("restarted server served different bytes")
 	}
 }
+
+// TestBodyLimits: a body over the 1 MiB cap is refused with 413 instead of
+// being parsed truncated, and anything but whitespace after the JSON value
+// is a 400, on every endpoint that decodes a body.
+func TestBodyLimits(t *testing.T) {
+	ts := newTestServer(t, "")
+	spec := `{"graph":"cycle","params":{"n":8},"algorithm":"mis/luby","seed":1}`
+	huge := `{"x":"` + strings.Repeat("a", maxBodyBytes) + `"}`
+	for _, path := range []string{"/v1/run", "/v1/batch", "/v1/campaigns"} {
+		if resp, body := post(t, ts.URL+path, huge); resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: oversized body: status %d: %s", path, resp.StatusCode, body)
+		}
+	}
+	if resp, body := post(t, ts.URL+"/v1/run", spec+strings.Repeat(" ", maxBodyBytes)); resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized whitespace tail: status %d: %s", resp.StatusCode, body)
+	}
+	for _, trailer := range []string{` {}`, `x`, "\n" + spec, `]`} {
+		if resp, body := post(t, ts.URL+"/v1/run", spec+trailer); resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("trailing %q: status %d: %s", trailer, resp.StatusCode, body)
+		}
+	}
+	// Trailing whitespace alone is still a well-formed body.
+	if resp, body := post(t, ts.URL+"/v1/run", spec+" \r\n\t"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("trailing whitespace: status %d: %s", resp.StatusCode, body)
+	}
+}

@@ -102,7 +102,7 @@
 //
 // internal/fleet lifts the same determinism one level up, from goroutines
 // to processes: core.MeasureRange executes an absolute trial range of a
-// measurement, scenario.RunChunk runs such a range of one sweep row on
+// measurement, scenario.RunChunkOpts runs such a range of one sweep row on
 // any machine, and scenario.MergeChunks reassembles any partition of a
 // scenario's (row, trial) space into the exact bytes scenario.Run
 // produces — core.Measure is itself implemented as MeasureRange +

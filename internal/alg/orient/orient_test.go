@@ -213,3 +213,17 @@ func TestTheorem6Contrast(t *testing.T) {
 		t.Fatalf("DetAveraged grew faster (%.2fx) than the baseline (%.2fx)", avgGrowth, baseGrowth)
 	}
 }
+
+// BenchmarkRandMarking runs the randomized marking algorithm on a random
+// 3-regular graph with n=8192, E14's largest quick-scale row.
+func BenchmarkRandMarking(b *testing.B) {
+	g := graph.RandomRegular(8192, 3, rand.New(rand.NewPCG(14, 3)))
+	assignment := ids.Sequential(g.N())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := (orient.RandMarking{}).Run(g, assignment, uint64(i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

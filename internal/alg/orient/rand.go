@@ -2,6 +2,7 @@ package orient
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 
 	"avgloc/internal/graph"
@@ -42,10 +43,14 @@ func (RandMarking) Name() string { return "orient/rand-marking" }
 func (r RandMarking) Run(g *graph.Graph, ids []int64, seed uint64) (*runtime.Result, error) {
 	n, m := g.N(), g.M()
 	s := locality.New(g)
-	rngs := make([]*rand.Rand, n)
-	for v := 0; v < n; v++ {
-		rngs[v] = rand.New(rand.NewPCG(seed, uint64(v)*0x9E3779B97F4A7C15+0xBF58476D1CE4E5B9))
+	// Node v draws from its own PCG, pcgs[v]; the one rng reads whichever
+	// PCG cur points at, so per-node streams cost no allocation each.
+	pcgs := make([]rand.PCG, n)
+	for v := range pcgs {
+		pcgs[v].Seed(seed, uint64(v)*0x9E3779B97F4A7C15+0xBF58476D1CE4E5B9)
 	}
+	cur := &pcgCursor{}
+	rng := rand.New(cur)
 
 	toward := make([]int32, m)
 	edgeRound := make([]int32, m)
@@ -73,6 +78,9 @@ func (r RandMarking) Run(g *graph.Graph, ids []int64, seed uint64) (*runtime.Res
 
 	marks := make([]int8, m)
 	marker := make([]int32, m)
+	snapshot := make([]bool, n)
+	safety := newSafetyScratch(g)
+	var pool []int32
 	for phase := 0; phase < phaseCap && left > 0; phase++ {
 		for e := range marks {
 			marks[e] = 0
@@ -82,8 +90,9 @@ func (r RandMarking) Run(g *graph.Graph, ids []int64, seed uint64) (*runtime.Res
 			if satisfied[v] {
 				continue
 			}
-			pool := poolEdges(g, toward, v)
-			e := pool[rngs[v].IntN(len(pool))]
+			pool = poolEdges(g, toward, v, pool)
+			cur.pcg = &pcgs[v]
+			e := pool[rng.IntN(len(pool))]
 			if marks[e] < 2 {
 				marks[e]++
 			}
@@ -104,7 +113,7 @@ func (r RandMarking) Run(g *graph.Graph, ids []int64, seed uint64) (*runtime.Res
 			if from == v {
 				to = u
 			}
-			if !orientationSafe(g, toward, satisfied, e, to) {
+			if !safety.orientationSafe(g, toward, satisfied, e, to) {
 				continue // would strand an all-unsatisfied tree; retry later
 			}
 			toward[e] = int32(to)
@@ -118,7 +127,6 @@ func (r RandMarking) Run(g *graph.Graph, ids []int64, seed uint64) (*runtime.Res
 		// anchor. Then every unoriented edge between two satisfied nodes
 		// is defaulted toward the higher identifier; its orientation is
 		// fixed as of now.
-		snapshot := make([]bool, n)
 		copy(snapshot, satisfied)
 		for v := 0; v < n; v++ {
 			if snapshot[v] {
@@ -180,8 +188,15 @@ func (r RandMarking) Run(g *graph.Graph, ids []int64, seed uint64) (*runtime.Res
 	return s.Result()
 }
 
-func poolEdges(g *graph.Graph, toward []int32, v int) []int32 {
-	var pool []int32
+// pcgCursor is a rand.Source drawing from the PCG it currently points at.
+type pcgCursor struct{ pcg *rand.PCG }
+
+func (c *pcgCursor) Uint64() uint64 { return c.pcg.Uint64() }
+
+// poolEdges returns v's unoriented incident edges in port order, reusing
+// buf's storage.
+func poolEdges(g *graph.Graph, toward []int32, v int, buf []int32) []int32 {
+	pool := buf[:0]
 	for _, e := range g.EdgeIDs(v) {
 		if toward[e] < 0 {
 			pool = append(pool, e)
@@ -190,44 +205,58 @@ func poolEdges(g *graph.Graph, toward []int32, v int) []int32 {
 	return pool
 }
 
+// safetyScratch holds orientationSafe's visited marks and queue across
+// calls. A node or edge is visited in the current call iff its mark equals
+// stamp, so no call pays an O(n+m) reset.
+type safetyScratch struct {
+	node, edge []int32
+	stamp      int32
+	queue      []int32
+}
+
+func newSafetyScratch(g *graph.Graph) *safetyScratch {
+	return &safetyScratch{node: make([]int32, g.N()), edge: make([]int32, g.M())}
+}
+
 // orientationSafe reports whether orienting edge e toward `to` keeps the
 // invariant: the pool component of `to` (after removing e) must contain a
 // satisfied node or a cycle. The marker's side always stays safe because
 // the marker becomes satisfied.
-func orientationSafe(g *graph.Graph, toward []int32, satisfied []bool, e, to int) bool {
-	// BFS over pool edges from `to`, pretending e is gone.
-	visitedNodes := map[int]bool{to: true}
-	visitedEdges := map[int]bool{e: true}
-	queue := []int{to}
-	nodes, edges := 1, 0
-	anchored := false
-	for len(queue) > 0 {
-		x := queue[0]
-		queue = queue[1:]
-		if satisfied[x] {
-			anchored = true
-			break
-		}
-		for p := 0; p < g.Deg(x); p++ {
-			ex := g.EdgeID(x, p)
-			if toward[ex] >= 0 || visitedEdges[ex] {
-				continue
-			}
-			visitedEdges[ex] = true
-			edges++
-			u := g.Neighbor(x, p)
-			if !visitedNodes[u] {
-				visitedNodes[u] = true
-				nodes++
-				queue = append(queue, u)
-			}
-		}
-	}
-	if anchored {
+//
+// The BFS over pool edges from `to` (pretending e is gone) returns at the
+// first satisfied node or the first edge into an already-visited node,
+// which closes a cycle; only a tree of unsatisfied nodes is scanned whole.
+func (sc *safetyScratch) orientationSafe(g *graph.Graph, toward []int32, satisfied []bool, e, to int) bool {
+	if satisfied[to] {
 		return true
 	}
-	// All-unsatisfied component: safe iff it has a cycle (edges >= nodes).
-	return edges >= nodes
+	if sc.stamp == math.MaxInt32 {
+		clear(sc.node)
+		clear(sc.edge)
+		sc.stamp = 0
+	}
+	sc.stamp++
+	stamp := sc.stamp
+	sc.node[to] = stamp
+	sc.edge[e] = stamp
+	sc.queue = append(sc.queue[:0], int32(to))
+	for qi := 0; qi < len(sc.queue); qi++ {
+		x := int(sc.queue[qi])
+		nbrs := g.Neighbors(x)
+		for p, ex := range g.EdgeIDs(x) {
+			if toward[ex] >= 0 || sc.edge[ex] == stamp {
+				continue
+			}
+			sc.edge[ex] = stamp
+			u := nbrs[p]
+			if sc.node[u] == stamp || satisfied[u] {
+				return true
+			}
+			sc.node[u] = stamp
+			sc.queue = append(sc.queue, u)
+		}
+	}
+	return false
 }
 
 // finishFromAnchors deterministically satisfies the remaining nodes: each

@@ -308,9 +308,9 @@ func TestMismatchedChunkRequeues(t *testing.T) {
 			t.Fatal("worker deregistered")
 		}
 		if job != nil {
-			wrong, err := scenario.RunChunk(&job.Spec, job.Row, job.TrialLo, job.TrialHi, 1)
+			wrong, err := scenario.RunChunkOpts(&job.Spec, job.Row, job.TrialLo, job.TrialHi, scenario.ChunkOptions{Parallelism: 1})
 			if err != nil {
-				t.Fatalf("RunChunk: %v", err)
+				t.Fatalf("RunChunkOpts: %v", err)
 			}
 			wrong.TrialHi++ // no longer matches the lease
 			c.complete(&completeRequest{WorkerID: confused.WorkerID, ChunkID: job.ID, Chunk: wrong})
@@ -435,9 +435,9 @@ func TestLongChunkHeartbeatKeepsLease(t *testing.T) {
 		t.Fatalf("heartbeating chunk was retried/stolen: %+v", st)
 	}
 
-	ch, err := scenario.RunChunk(&job.Spec, job.Row, job.TrialLo, job.TrialHi, 1)
+	ch, err := scenario.RunChunkOpts(&job.Spec, job.Row, job.TrialLo, job.TrialHi, scenario.ChunkOptions{Parallelism: 1})
 	if err != nil {
-		t.Fatalf("RunChunk: %v", err)
+		t.Fatalf("RunChunkOpts: %v", err)
 	}
 	c.complete(&completeRequest{WorkerID: holder.WorkerID, ChunkID: job.ID, Chunk: ch})
 	select {
@@ -484,9 +484,9 @@ func TestDuplicateCompleteIgnored(t *testing.T) {
 		job = j
 		time.Sleep(2 * time.Millisecond)
 	}
-	ch, err := scenario.RunChunk(&job.Spec, job.Row, job.TrialLo, job.TrialHi, 1)
+	ch, err := scenario.RunChunkOpts(&job.Spec, job.Row, job.TrialLo, job.TrialHi, scenario.ChunkOptions{Parallelism: 1})
 	if err != nil {
-		t.Fatalf("RunChunk: %v", err)
+		t.Fatalf("RunChunkOpts: %v", err)
 	}
 	req := &completeRequest{WorkerID: w.WorkerID, ChunkID: job.ID, Chunk: ch}
 	if resp := c.complete(req); !resp.Accepted {

@@ -46,7 +46,7 @@ type Worker struct {
 	// Logf, if non-nil, receives operational log lines.
 	Logf func(format string, args ...any)
 	// Trace, if non-nil, records the worker's side of every chunk — a
-	// chunk.execute span around RunChunk and a chunk.upload span around the
+	// chunk.execute span around RunChunkOpts and a chunk.upload span around the
 	// result upload — into its own flight-recorder artifact.
 	Trace *obs.Tracer
 	// Graphs, if non-nil, is the graph store chunks fetch their graphs

@@ -13,7 +13,7 @@ import (
 // parameters and asserts the binary CSR image decodes to a deep-equal graph
 // — same CSR arrays, ports, edge ids and cached max degree, not merely an
 // isomorphic one. (chunk_test.go's warm-store suite separately proves the
-// reloaded graphs produce identical RunChunk bytes.)
+// reloaded graphs produce identical RunChunkOpts bytes.)
 func TestMarshalRoundTripFamilies(t *testing.T) {
 	for _, fam := range registry.Graphs() {
 		fam := fam

@@ -110,6 +110,15 @@ func (g *Graph) NewCycleScanner() *CycleScanner {
 // The search runs a BFS from v that tracks, for every reached node, the
 // first arc taken out of v; a cycle through v closes when two different
 // initial arcs meet.
+//
+// It stops as soon as no deeper level can improve the answer. Expanding a
+// node x at depth d closes cycles over edges x–u with dist(u) ∈ {d-1, d,
+// d+1}, of length 2d, 2d+1 or 2d+2. A length-2d hit re-finds an edge that
+// was already scored while u was expanded at depth d-1, because x was
+// reached from another initial arc before u looked at it (had u reached x
+// first, the two would share an initial arc). So every new cycle at
+// depth d or deeper is at least 2d+1 long, and the scan ends once 2d+1
+// exceeds maxLen or reaches the best length found so far.
 func (s *CycleScanner) ShortestCycleThrough(v int, maxLen int) int {
 	g := s.g
 	deg := g.Deg(v)
@@ -141,23 +150,14 @@ func (s *CycleScanner) ShortestCycleThrough(v int, maxLen int) int {
 	best := -1
 	for qi := 0; qi < len(queue); qi++ {
 		x := queue[qi]
-		if maxLen > 0 && int(s.dist[x])*2 >= maxLen+2 {
+		floor := 2*int(s.dist[x]) + 1 // shortest new cycle from here on
+		if maxLen > 0 && floor > maxLen || best > 0 && floor >= best {
 			break
 		}
-		if best > 0 && int(s.dist[x])*2 >= best+2 {
-			break
-		}
-		for p, u := range g.Neighbors(int(x)) {
+		for _, u := range g.Neighbors(int(x)) {
 			if int(u) == v {
-				// A second edge back to v closes a cycle unless it is the
-				// tree edge we came in on at depth 1.
-				if s.dist[x] == 1 && int32(g.TwinPort(int(x), p)) == s.root[x] {
-					continue
-				}
-				l := int(s.dist[x]) + 1
-				if best < 0 || l < best {
-					best = l
-				}
+				// Only depth-1 nodes neighbor v, and a second edge between
+				// them already returned 2 above: this is the tree edge.
 				continue
 			}
 			if s.seen[u] != stamp {

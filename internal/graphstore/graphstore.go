@@ -154,7 +154,7 @@ var (
 
 // Shared returns the process-wide default store: memory-only, DefaultMaxBytes.
 // It is what scenario execution falls back to when no store is configured,
-// so even a bare RunChunk loop — a fleet worker without -graph-cache-dir —
+// so even a bare RunChunkOpts loop — a fleet worker without -graph-cache-dir —
 // builds each graph once per process instead of once per chunk.
 func Shared() *Store {
 	sharedOnce.Do(func() {

@@ -155,3 +155,27 @@ func TestScanCyclesMatchesSeparateScans(t *testing.T) {
 		t.Fatalf("lift of C6 has girth %d, want >= 6", got)
 	}
 }
+
+// BenchmarkScanCyclesLift scans E8's largest quick-scale lift (the q=16
+// lift of G_1(β=4), n=4608, Δ=32, drawn as at seed 42) for its ℓ≤3 and
+// ℓ≤5 fractions and girth.
+func BenchmarkScanCyclesLift(b *testing.B) {
+	base, err := basegraph.Build(basegraph.Params{K: 1, Beta: 4})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewPCG(42, 8))
+	var g *graph.Graph
+	for _, q := range []int{1, 4, 16} {
+		if g, err = lift.Random(base.G, q, rng); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if st := lift.ScanCycles(g, 3, 5); st.Girth <= 0 {
+			b.Fatalf("girth = %d", st.Girth)
+		}
+	}
+}

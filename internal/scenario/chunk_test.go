@@ -65,9 +65,9 @@ func TestMergeChunksMatchesRun(t *testing.T) {
 				var chunks []*Chunk
 				for row := 0; row < norm.Rows(); row++ {
 					for _, cut := range randomPartition(rng, norm.Trials) {
-						ch, err := RunChunk(&spec, row, cut[0], cut[1], 1+rng.IntN(3))
+						ch, err := RunChunkOpts(&spec, row, cut[0], cut[1], ChunkOptions{Parallelism: 1 + rng.IntN(3)})
 						if err != nil {
-							t.Fatalf("RunChunk(row=%d, [%d,%d)): %v", row, cut[0], cut[1], err)
+							t.Fatalf("RunChunkOpts(row=%d, [%d,%d)): %v", row, cut[0], cut[1], err)
 						}
 						chunks = append(chunks, ch)
 					}
@@ -110,9 +110,9 @@ func TestMergeChunksJSONRoundTrip(t *testing.T) {
 		if hi > norm.Trials {
 			hi = norm.Trials
 		}
-		ch, err := RunChunk(&spec, 0, lo, hi, 1)
+		ch, err := RunChunkOpts(&spec, 0, lo, hi, ChunkOptions{Parallelism: 1})
 		if err != nil {
-			t.Fatalf("RunChunk: %v", err)
+			t.Fatalf("RunChunkOpts: %v", err)
 		}
 		data, err := json.Marshal(ch)
 		if err != nil {
@@ -139,13 +139,13 @@ func TestMergeChunksJSONRoundTrip(t *testing.T) {
 // producing a plausible-looking wrong report.
 func TestMergeChunksRejectsBadCovers(t *testing.T) {
 	spec := Spec{Graph: "cycle", Params: map[string]float64{"n": 24}, Algorithm: "mis/luby", Trials: 4, Seed: 2}
-	full, err := RunChunk(&spec, 0, 0, 4, 1)
+	full, err := RunChunkOpts(&spec, 0, 0, 4, ChunkOptions{Parallelism: 1})
 	if err != nil {
-		t.Fatalf("RunChunk: %v", err)
+		t.Fatalf("RunChunkOpts: %v", err)
 	}
-	head, err := RunChunk(&spec, 0, 0, 2, 1)
+	head, err := RunChunkOpts(&spec, 0, 0, 2, ChunkOptions{Parallelism: 1})
 	if err != nil {
-		t.Fatalf("RunChunk: %v", err)
+		t.Fatalf("RunChunkOpts: %v", err)
 	}
 	cases := []struct {
 		name   string
@@ -163,9 +163,9 @@ func TestMergeChunksRejectsBadCovers(t *testing.T) {
 		}
 	}
 	// Metadata disagreement between chunks of one row.
-	tail, err := RunChunk(&spec, 0, 2, 4, 1)
+	tail, err := RunChunkOpts(&spec, 0, 2, 4, ChunkOptions{Parallelism: 1})
 	if err != nil {
-		t.Fatalf("RunChunk: %v", err)
+		t.Fatalf("RunChunkOpts: %v", err)
 	}
 	mutated := *tail
 	mutated.Meta.Nodes++
@@ -179,15 +179,15 @@ func TestMergeChunksRejectsBadCovers(t *testing.T) {
 // and a split range concatenates to the full one.
 func TestMeasureRangeMatchesMeasure(t *testing.T) {
 	spec := Spec{Graph: "regular", Params: map[string]float64{"n": 24, "d": 3}, Algorithm: "mis/luby", Trials: 6, Seed: 4}
-	full, err := RunChunk(&spec, 0, 0, 6, 1)
+	full, err := RunChunkOpts(&spec, 0, 0, 6, ChunkOptions{Parallelism: 1})
 	if err != nil {
-		t.Fatalf("RunChunk full: %v", err)
+		t.Fatalf("RunChunkOpts full: %v", err)
 	}
 	var split []core.TrialOutcome
 	for _, cut := range [][2]int{{0, 1}, {1, 4}, {4, 6}} {
-		ch, err := RunChunk(&spec, 0, cut[0], cut[1], 2)
+		ch, err := RunChunkOpts(&spec, 0, cut[0], cut[1], ChunkOptions{Parallelism: 2})
 		if err != nil {
-			t.Fatalf("RunChunk [%d,%d): %v", cut[0], cut[1], err)
+			t.Fatalf("RunChunkOpts [%d,%d): %v", cut[0], cut[1], err)
 		}
 		split = append(split, ch.Trials...)
 	}

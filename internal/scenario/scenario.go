@@ -455,7 +455,7 @@ func rowParamsOf(n *Spec) []registry.Values {
 
 // Chunk is the unit of distributed scenario execution: the per-trial
 // outcomes of trials [TrialLo, TrialHi) of one sweep row, plus the row's
-// realized identity. Chunks are produced by RunChunk — on any machine —
+// realized identity. Chunks are produced by RunChunkOpts — on any machine —
 // and reassembled by MergeChunks; because trial indices are absolute and
 // every random stream is counter-derived from (seed, row, trial), any
 // partition of a row's trial set into chunks merges into the same Outcome
@@ -480,12 +480,6 @@ type ChunkOptions struct {
 	// Ctx carries the trace span parent for graph.build / graph.load spans
 	// (obs.FromCtx); a nil Ctx just disables them.
 	Ctx context.Context
-}
-
-// RunChunk executes trials [lo, hi) of sweep row `row` of the scenario with
-// default options (shared graph store, no tracing).
-func RunChunk(s *Spec, row, lo, hi, parallelism int) (*Chunk, error) {
-	return RunChunkOpts(s, row, lo, hi, ChunkOptions{Parallelism: parallelism})
 }
 
 // RunChunkOpts executes trials [lo, hi) of sweep row `row` of the scenario.

@@ -52,7 +52,7 @@ func TestRunChunkBytesColdVsWarmEveryFamily(t *testing.T) {
 			}
 			want, err := RunChunkOpts(&spec, 0, 0, 3, ChunkOptions{Parallelism: 2, Graphs: cold})
 			if err != nil {
-				t.Fatalf("cold RunChunk: %v", err)
+				t.Fatalf("cold RunChunkOpts: %v", err)
 			}
 			if st := cold.Stats(); st.Builds != 1 {
 				t.Fatalf("cold store stats %+v, want builds=1", st)
@@ -63,7 +63,7 @@ func TestRunChunkBytesColdVsWarmEveryFamily(t *testing.T) {
 			}
 			got, err := RunChunkOpts(&spec, 0, 0, 3, ChunkOptions{Parallelism: 2, Graphs: warm})
 			if err != nil {
-				t.Fatalf("warm RunChunk: %v", err)
+				t.Fatalf("warm RunChunkOpts: %v", err)
 			}
 			if st := warm.Stats(); st.Builds != 0 || st.Loads != 1 {
 				t.Fatalf("warm store stats %+v, want builds=0 loads=1", st)
