@@ -17,16 +17,7 @@ type benchFile struct {
 	Trajectory []benchBlock `json:"trajectory"`
 }
 
-// schema1File is the legacy overwrite-style layout, kept for migration.
-type schema1File struct {
-	Schema   int         `json:"schema"`
-	Suite    string      `json:"suite"`
-	Baseline *benchBlock `json:"baseline"`
-	Current  *benchBlock `json:"current"`
-}
-
-// loadBench parses either schema. Schema-1 files migrate in memory:
-// baseline becomes trajectory[0], current trajectory[1].
+// loadBench parses a schema-2 file; any other schema is an error.
 func loadBench(data []byte) (*benchFile, error) {
 	var probe struct {
 		Schema int `json:"schema"`
@@ -34,42 +25,34 @@ func loadBench(data []byte) (*benchFile, error) {
 	if err := json.Unmarshal(data, &probe); err != nil {
 		return nil, err
 	}
-	switch probe.Schema {
-	case 2:
-		var f benchFile
-		if err := json.Unmarshal(data, &f); err != nil {
-			return nil, err
-		}
-		return &f, nil
-	case 1:
-		var old schema1File
-		if err := json.Unmarshal(data, &old); err != nil {
-			return nil, err
-		}
-		f := &benchFile{Schema: 2, Suite: old.Suite}
-		if old.Baseline != nil {
-			f.Trajectory = append(f.Trajectory, *old.Baseline)
-		}
-		if old.Current != nil {
-			f.Trajectory = append(f.Trajectory, *old.Current)
-		}
-		return f, nil
-	default:
+	if probe.Schema != 2 {
 		return nil, fmt.Errorf("unknown bench schema %d", probe.Schema)
 	}
+	var f benchFile
+	if err := json.Unmarshal(data, &f); err != nil {
+		return nil, err
+	}
+	return &f, nil
 }
 
-// writeJSON appends block to the trajectory in path, migrating schema-1
-// files on the way. A missing or unreadable file starts a fresh trajectory.
+// writeJSON appends block to the trajectory in path. A missing file starts
+// a fresh trajectory; a file that cannot be read or parsed is an error and
+// stays untouched, since overwriting it would erase the perf history.
 func writeJSON(path string, block *benchBlock) error {
 	out := &benchFile{
 		Schema: 2,
 		Suite:  "avgbench E1-E14; append a block with: go run ./cmd/avgbench -json " + path,
 	}
-	if prev, err := os.ReadFile(path); err == nil {
-		if old, err := loadBench(prev); err == nil {
-			out.Trajectory = old.Trajectory
+	prev, err := os.ReadFile(path)
+	switch {
+	case err == nil:
+		old, err := loadBench(prev)
+		if err != nil {
+			return fmt.Errorf("%s: %w", path, err)
 		}
+		out.Trajectory = old.Trajectory
+	case !os.IsNotExist(err):
+		return err
 	}
 	out.Trajectory = append(out.Trajectory, *block)
 	data, err := json.MarshalIndent(out, "", "  ")

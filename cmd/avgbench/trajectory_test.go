@@ -8,42 +8,28 @@ import (
 	"testing"
 )
 
-const schema1Fixture = `{
-  "schema": 1,
+const schema2Fixture = `{
+  "schema": 2,
   "suite": "avgbench E1-E14",
-  "baseline": {
-    "label": "seed",
-    "total_wall_ns": 100,
-    "experiments": [{"id": "E1", "wall_ns": 100, "allocs": 1000, "bytes": 1, "rows": 3, "table_fnv64": "aa"}]
-  },
-  "current": {
-    "label": "pr1",
-    "total_wall_ns": 90,
-    "experiments": [{"id": "E1", "wall_ns": 90, "allocs": 1100, "bytes": 1, "rows": 3, "table_fnv64": "aa"}]
-  }
+  "trajectory": [
+    {
+      "label": "seed",
+      "total_wall_ns": 100,
+      "experiments": [{"id": "E1", "wall_ns": 100, "allocs": 1000, "bytes": 1, "rows": 3, "table_fnv64": "aa"}]
+    },
+    {
+      "label": "pr1",
+      "total_wall_ns": 90,
+      "experiments": [{"id": "E1", "wall_ns": 90, "allocs": 1100, "bytes": 1, "rows": 3, "table_fnv64": "aa"}]
+    }
+  ]
 }`
 
-// TestLoadBenchMigratesSchema1: legacy baseline/current files read as a
-// two-block trajectory, oldest first.
-func TestLoadBenchMigratesSchema1(t *testing.T) {
-	f, err := loadBench([]byte(schema1Fixture))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Schema != 2 || len(f.Trajectory) != 2 {
-		t.Fatalf("migrated file: schema=%d blocks=%d", f.Schema, len(f.Trajectory))
-	}
-	if f.Trajectory[0].Label != "seed" || f.Trajectory[1].Label != "pr1" {
-		t.Fatalf("block order: %q, %q", f.Trajectory[0].Label, f.Trajectory[1].Label)
-	}
-	if f.Trajectory[1].Experiments[0].Allocs != 1100 {
-		t.Fatalf("experiment stats lost in migration: %+v", f.Trajectory[1].Experiments)
-	}
-}
-
 func TestLoadBenchRejectsUnknownSchema(t *testing.T) {
-	if _, err := loadBench([]byte(`{"schema": 9}`)); err == nil {
-		t.Fatal("schema 9 accepted")
+	for _, doc := range []string{`{"schema": 9}`, `{"schema": 1}`} {
+		if _, err := loadBench([]byte(doc)); err == nil {
+			t.Fatalf("%s accepted", doc)
+		}
 	}
 	if _, err := loadBench([]byte(`nope`)); err == nil {
 		t.Fatal("garbage accepted")
@@ -51,10 +37,10 @@ func TestLoadBenchRejectsUnknownSchema(t *testing.T) {
 }
 
 // TestWriteJSONAppends: successive writes grow the trajectory instead of
-// overwriting, and a schema-1 file migrates on first append.
+// overwriting it.
 func TestWriteJSONAppends(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bench.json")
-	if err := os.WriteFile(path, []byte(schema1Fixture), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte(schema2Fixture), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	b3 := &benchBlock{Label: "pr2", Experiments: []expStats{{ID: "E1", WallNs: 95, Allocs: 1050}}}
@@ -83,6 +69,33 @@ func TestWriteJSONAppends(t *testing.T) {
 	}
 	if got := strings.Join(labels, ","); got != "seed,pr1,pr2,pr3" {
 		t.Fatalf("trajectory = %s", got)
+	}
+}
+
+// TestWriteJSONKeepsUnreadableFile: a trajectory file that does not parse
+// as schema 2 — truncated, or of another schema — fails the append and is
+// left byte-for-byte as it was, instead of being replaced by a one-block
+// trajectory that erases the perf history.
+func TestWriteJSONKeepsUnreadableFile(t *testing.T) {
+	for name, doc := range map[string]string{
+		"truncated": schema2Fixture[:len(schema2Fixture)/2],
+		"schema 1":  `{"schema": 1, "baseline": null, "current": null}`,
+		"schema 9":  `{"schema": 9}`,
+	} {
+		path := filepath.Join(t.TempDir(), "bench.json")
+		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := writeJSON(path, &benchBlock{Label: "new"}); err == nil {
+			t.Fatalf("%s: append to an unreadable trajectory succeeded", name)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != doc {
+			t.Fatalf("%s: file rewritten to %q", name, got)
+		}
 	}
 }
 

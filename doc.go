@@ -26,18 +26,17 @@
 //	cmd/localsim         — one scenario from the command line, registry-driven
 //	examples/            — runnable walkthroughs
 //
-// # Executors
+// # Executor
 //
-// The round engine (internal/runtime) ships two executors with identical
-// semantics. The sequential frontier executor keeps an active worklist of
-// exactly the non-halted nodes — a node leaves the worklist at its halt
-// round — so the cost of a round is proportional to the surviving frontier,
-// not to n; under the paper's node-averaged regime, simulation work is
-// Θ(Σ_v T_v) rather than Θ(n · max T_v). The concurrent executor runs one
-// goroutine per node with channel round barriers, the literal rendering of
-// synchronous message passing. Engine reuse (runtime.NewEngine) keeps all
-// per-run buffers in graph-sized arenas across repeated trials. Both
-// executors also run blocking procs (runtime.NewBlocking,
+// The round engine (internal/runtime) has one executor, the frontier
+// executor, held to a naive reference implementation by a white-box test.
+// It keeps an active worklist of exactly the non-halted nodes — a node
+// leaves the worklist at its halt round — so the cost of a round is
+// proportional to the surviving frontier, not to n; under the paper's
+// node-averaged regime, simulation work is Θ(Σ_v T_v) rather than
+// Θ(n · max T_v). Engine reuse (runtime.NewEngine) keeps all per-run
+// buffers in graph-sized arenas across repeated trials. The executor also
+// runs blocking procs (runtime.NewBlocking,
 // runtime.BlockingProgram): sequential node programs that call Step to end
 // a round, each driven as an iter.Pull coroutine, which is how the
 // multi-phase deterministic algorithms are written.
@@ -57,11 +56,12 @@
 //
 // # Deterministic parallelism
 //
-// core.Measure fans independent trials over a worker pool
+// Every fan-out runs on one ordered worker pool, internal/par:
+// core.Measure fans independent trials over it
 // (MeasureOptions.Parallelism); scenario.Run fans sweep rows out under one
-// budget (Options.Parallelism, split between concurrent rows and per-row
-// trial workers); the harness does the same for table rows
-// (harness.Options.Parallelism). Every random stream is derived from the
+// budget (Options.Parallelism, divided by par.Split between concurrent rows
+// and per-row trial workers); the harness does the same for table rows
+// (harness.Options.Parallelism) and campaign.Run for scenarios. Every random stream is derived from the
 // master seed and the (row, trial) indices alone: identifier permutations
 // and graph generation use counter-keyed PCG streams, while algorithm
 // seeds and per-row measurement seeds go through SplitMix64-finalized

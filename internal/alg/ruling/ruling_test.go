@@ -97,7 +97,7 @@ func TestDetProducesRulingSet(t *testing.T) {
 }
 
 func TestDetDeterministic(t *testing.T) {
-	// Deterministic algorithm: identical outputs across seeds and executors.
+	// Deterministic algorithm: identical outputs across seeds.
 	g := graph.Grid(5, 8)
 	assignment := ids.Sequential(g.N())
 	alg := ruling.Det{Variant: ruling.LogDelta}
@@ -105,13 +105,13 @@ func TestDetDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := runtime.Run(g, alg, runtime.Config{IDs: assignment, Seed: 999, Concurrent: true})
+	b, err := runtime.Run(g, alg, runtime.Config{IDs: assignment, Seed: 999})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for v := 0; v < g.N(); v++ {
 		if a.NodeOut[v] != b.NodeOut[v] {
-			t.Fatalf("node %d output differs across executors/seeds", v)
+			t.Fatalf("node %d output differs across seeds", v)
 		}
 	}
 }

@@ -19,9 +19,10 @@
 // deterministic rounding algorithm" is `{"compare_to": "det", "op": "le"}`.
 //
 // Execution is deterministic: scenarios run concurrently under one
-// Parallelism budget with the same row/trial splitting as the scenario
-// layer, outcomes and verdicts merge in campaign order, and MarshalStable
-// output is byte-identical at every parallelism level.
+// Parallelism budget, divided by par.Split between concurrent scenarios
+// and each scenario's row/trial fan-out exactly as the scenario layer
+// divides its own share, outcomes and verdicts merge in campaign order,
+// and MarshalStable output is byte-identical at every parallelism level.
 package campaign
 
 import (
@@ -30,12 +31,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"strings"
-	"sync"
 
 	"avgloc/internal/core"
 	"avgloc/internal/fit"
 	"avgloc/internal/graphstore"
 	"avgloc/internal/obs"
+	"avgloc/internal/par"
 	"avgloc/internal/resultstore"
 	"avgloc/internal/scenario"
 	"avgloc/internal/twin"
@@ -635,20 +636,9 @@ func Run(c *Campaign, opt Options) (*Report, error) {
 	}
 
 	// Split the budget between concurrent scenarios and per-scenario
-	// row/trial parallelism, mirroring the scenario layer's rows×trials
-	// split one level up.
-	workers := opt.Parallelism
-	if workers < 1 {
-		workers = 1
-	}
-	scenWorkers := workers
-	if scenWorkers > len(uniq) {
-		scenWorkers = len(uniq)
-	}
-	perScenario := workers / scenWorkers
-	if perScenario < 1 {
-		perScenario = 1
-	}
+	// row/trial parallelism, the scenario layer's rows×trials split one
+	// level up.
+	scenWorkers, perScenario := par.Split(opt.Parallelism, len(uniq))
 
 	ctx := opt.Ctx
 	if ctx == nil {
@@ -706,22 +696,16 @@ func Run(c *Campaign, opt Options) (*Report, error) {
 		scenSpan.End(obs.A("cached", false))
 	}
 
-	jobs := make(chan string)
-	var wg sync.WaitGroup
-	for w := 0; w < scenWorkers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for key := range jobs {
-				execute(key)
-			}
-		}()
-	}
+	// Errors land in their slots, so every job returns nil and the pool
+	// runs all of them; the loop below streams slots in campaign order as
+	// they complete.
+	pool := make(chan struct{})
 	go func() {
-		for _, key := range uniq {
-			jobs <- key
-		}
-		close(jobs)
+		defer close(pool)
+		_ = par.Do(len(uniq), scenWorkers, func(_, i int) error {
+			execute(uniq[i])
+			return nil
+		})
 	}()
 
 	runs := make([]ScenarioRun, n)
@@ -742,7 +726,7 @@ func Run(c *Campaign, opt Options) (*Report, error) {
 			opt.OnScenario(runs[i])
 		}
 	}
-	wg.Wait()
+	<-pool
 	rep, err := Evaluate(c, runs)
 	if err != nil {
 		campSpan.End(obs.A("error", err.Error()))

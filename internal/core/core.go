@@ -8,8 +8,6 @@ package core
 import (
 	"fmt"
 	"math/rand/v2"
-	"sync"
-	"sync/atomic"
 
 	"avgloc/internal/alg/matching"
 	"avgloc/internal/alg/mis"
@@ -18,6 +16,7 @@ import (
 	"avgloc/internal/graph"
 	"avgloc/internal/ids"
 	"avgloc/internal/measure"
+	"avgloc/internal/par"
 	"avgloc/internal/runtime"
 	"avgloc/internal/seedmix"
 )
@@ -277,101 +276,49 @@ func MeasureRange(g *graph.Graph, prob Problem, runner Runner, opt MeasureOption
 		return nil, fmt.Errorf("core: invalid trial range [%d, %d)", lo, hi)
 	}
 	count := hi - lo
-	workers := opt.Parallelism
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > count {
-		workers = count
-	}
-
 	outcomes := make([]TrialOutcome, count)
-	errs := make([]error, count)
-	runTrial := func(trial int, eng *runtime.Engine) (TrialOutcome, error) {
+	// One engine per pool worker, built on the worker's first trial: an
+	// Engine is not safe for concurrent use, and par.Do never runs two jobs
+	// under the same worker index at once.
+	er, useEngine := runner.(EngineRunner)
+	engines := make([]*runtime.Engine, min(max(opt.Parallelism, 1), count))
+	err := par.Do(count, opt.Parallelism, func(w, i int) error {
+		trial := lo + i
 		assignment := ids.RandomPerm(g.N(), trialIDStream(opt.Seed, trial))
 		var res *runtime.Result
 		var err error
-		if er, ok := runner.(EngineRunner); ok && eng != nil {
-			res, err = er.RunEngine(eng, assignment, trialSeed(opt.Seed, trial))
+		if useEngine {
+			if engines[w] == nil {
+				engines[w] = runtime.NewEngine(g)
+			}
+			res, err = er.RunEngine(engines[w], assignment, trialSeed(opt.Seed, trial))
 		} else {
 			res, err = runner.Run(g, assignment, trialSeed(opt.Seed, trial))
 		}
 		if err != nil {
-			return TrialOutcome{}, fmt.Errorf("core: trial %d: %w", trial, err)
+			return fmt.Errorf("core: trial %d: %w", trial, err)
 		}
 		if err := prob.Validate(g, res); err != nil {
-			return TrialOutcome{}, fmt.Errorf("core: trial %d output invalid: %w", trial, err)
+			return fmt.Errorf("core: trial %d output invalid: %w", trial, err)
 		}
 		// The one-sided measure reads the commit ledger directly; its error
 		// must fail the trial — a swallowed error would silently contribute
 		// 0 to OneSidedEdgeAvg and bias the mean toward 0.
 		var oneSided float64
 		if prob.Kind == runtime.NodeOutputs {
-			var err error
 			if oneSided, err = measure.OneSidedEdgeAvg(g, res); err != nil {
-				return TrialOutcome{}, fmt.Errorf("core: trial %d: %w", trial, err)
+				return fmt.Errorf("core: trial %d: %w", trial, err)
 			}
 		}
 		tm, err := measure.Completion(g, res, prob.Kind)
 		if err != nil {
-			return TrialOutcome{}, fmt.Errorf("core: trial %d: %w", trial, err)
+			return fmt.Errorf("core: trial %d: %w", trial, err)
 		}
-		return TrialOutcome{Node: tm.Node, Edge: tm.Edge, Messages: res.Messages, OneSided: oneSided}, nil
-	}
-
-	newEngine := func() *runtime.Engine {
-		if _, ok := runner.(EngineRunner); ok {
-			return runtime.NewEngine(g)
-		}
+		outcomes[i] = TrialOutcome{Node: tm.Node, Edge: tm.Edge, Messages: res.Messages, OneSided: oneSided}
 		return nil
-	}
-	if workers == 1 {
-		eng := newEngine()
-		for i := 0; i < count; i++ {
-			outcomes[i], errs[i] = runTrial(lo+i, eng)
-			if errs[i] != nil {
-				break // later trials cannot change the reported error
-			}
-		}
-	} else {
-		jobs := make(chan int)
-		// Lowest failing range offset so far. Trials above it can be skipped:
-		// the scan below never reads past the first error, so skipping them
-		// cannot change the outcomes or the reported error. Trials below it
-		// must still run — one of them failing would change the report.
-		minFailed := int64(count)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				eng := newEngine()
-				for i := range jobs {
-					if int64(i) > atomic.LoadInt64(&minFailed) {
-						continue
-					}
-					outcomes[i], errs[i] = runTrial(lo+i, eng)
-					if errs[i] != nil {
-						for {
-							cur := atomic.LoadInt64(&minFailed)
-							if int64(i) >= cur || atomic.CompareAndSwapInt64(&minFailed, cur, int64(i)) {
-								break
-							}
-						}
-					}
-				}
-			}()
-		}
-		for i := 0; i < count; i++ {
-			jobs <- i
-		}
-		close(jobs)
-		wg.Wait()
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	return outcomes, nil
 }

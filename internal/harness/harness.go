@@ -10,8 +10,6 @@ import (
 	goruntime "runtime"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"avgloc/internal/alg/coloring"
 	"avgloc/internal/alg/matching"
@@ -25,6 +23,7 @@ import (
 	"avgloc/internal/lb/kmwmatch"
 	"avgloc/internal/lb/lift"
 	"avgloc/internal/measure"
+	"avgloc/internal/par"
 	"avgloc/internal/registry"
 	"avgloc/internal/runtime"
 	"avgloc/internal/twin"
@@ -90,7 +89,8 @@ type Options struct {
 	// parallelism.
 	Seed uint64
 	// Parallelism bounds the total worker count an experiment uses, split
-	// between concurrent table rows and core.Measure trial fan-out.
+	// by par.Split between concurrent table rows and core.Measure trial
+	// fan-out.
 	// Zero or negative selects GOMAXPROCS.
 	Parallelism int
 }
@@ -135,73 +135,22 @@ func (p *rowPool) addRow(job func(measurePar int) ([]string, error)) {
 	})
 }
 
-// run executes the queued jobs with at most `workers` total workers: up to
-// min(workers, len(jobs)) jobs run concurrently and each job receives the
-// leftover budget as its core.Measure trial parallelism. The first error in
-// job order wins.
+// run executes the queued jobs under a budget of `workers` total workers,
+// split by par.Split between concurrent jobs and each job's core.Measure
+// trial parallelism. The first error in job order wins.
 func (p *rowPool) run(workers int) ([][]string, error) {
-	n := len(p.jobs)
-	if workers < 1 {
-		workers = 1
-	}
-	rowWorkers := workers
-	if rowWorkers > n {
-		rowWorkers = n
-	}
-	measurePar := 1
-	if rowWorkers > 0 {
-		measurePar = workers / rowWorkers
-	}
-	if measurePar < 1 {
-		measurePar = 1
-	}
-	results := make([][][]string, n)
-	errs := make([]error, n)
-	if rowWorkers <= 1 {
-		for i, job := range p.jobs {
-			results[i], errs[i] = job(measurePar)
-			if errs[i] != nil {
-				break
-			}
-		}
-	} else {
-		idx := make(chan int)
-		// Jobs above the lowest failing index are skipped: the merge below
-		// stops at the first error, so their results are never read.
-		minFailed := int64(n)
-		var wg sync.WaitGroup
-		for w := 0; w < rowWorkers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					if int64(i) > atomic.LoadInt64(&minFailed) {
-						continue
-					}
-					results[i], errs[i] = p.jobs[i](measurePar)
-					if errs[i] != nil {
-						for {
-							cur := atomic.LoadInt64(&minFailed)
-							if int64(i) >= cur || atomic.CompareAndSwapInt64(&minFailed, cur, int64(i)) {
-								break
-							}
-						}
-					}
-				}
-			}()
-		}
-		for i := 0; i < n; i++ {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
+	jobWorkers, measurePar := par.Split(workers, len(p.jobs))
+	results := make([][][]string, len(p.jobs))
+	err := par.Do(len(p.jobs), jobWorkers, func(_, i int) (err error) {
+		results[i], err = p.jobs[i](measurePar)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	var rows [][]string
-	for i := 0; i < n; i++ {
-		if errs[i] != nil {
-			return nil, errs[i]
-		}
-		rows = append(rows, results[i]...)
+	for _, r := range results {
+		rows = append(rows, r...)
 	}
 	return rows, nil
 }

@@ -104,16 +104,3 @@ func TestBlockingPanicSurfacesFromRun(t *testing.T) {
 		t.Fatalf("%d goroutines after the panic, baseline %d", n, base)
 	}
 }
-
-func TestBlockingConcurrentExecutor(t *testing.T) {
-	n, k := 9, 2
-	g := graph.Cycle(n)
-	assignment := ids.Sequential(n)
-	a := run(t, g, blockingFlood(k), runtime.Config{IDs: assignment})
-	b := run(t, g, blockingFlood(k), runtime.Config{IDs: assignment, Concurrent: true})
-	for v := 0; v < n; v++ {
-		if a.NodeOut[v] != b.NodeOut[v] {
-			t.Fatalf("node %d differs across executors", v)
-		}
-	}
-}

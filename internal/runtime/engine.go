@@ -3,7 +3,6 @@ package runtime
 import (
 	"fmt"
 	"math/rand/v2"
-	"sync"
 
 	"avgloc/internal/graph"
 )
@@ -40,9 +39,7 @@ type execution struct {
 	edgeSet   []bool    // len arcs: Context.edgeSet arena
 	edgeRound []int32   // len arcs: Context.edgeRound arena
 
-	halted []bool
 	haltAt []int32
-	live   int
 
 	// active is the frontier worklist: exactly the nodes that have not
 	// halted, in increasing order. A node leaves the list at its halt round
@@ -67,7 +64,6 @@ func newExecution(g *graph.Graph) *execution {
 		views:  make([]NodeView, n),
 		rngs:   make([]rand.Rand, n),
 		pcgs:   make([]rand.PCG, n),
-		halted: make([]bool, n),
 		haltAt: make([]int32, n),
 		active: make([]int32, n),
 	}
@@ -139,19 +135,16 @@ func (ex *execution) reset(alg Algorithm, cfg Config) {
 			edgeSet:   ex.edgeSet[lo:hi:hi],
 			edgeRound: ex.edgeRound[lo:hi:hi],
 		}
-		ex.halted[v] = false
 		ex.haltAt[v] = -1
 		ex.active[v] = int32(v)
 		ex.progs[v] = alg.Node(ex.views[v])
 	}
-	ex.live = n
 }
 
 // step runs node v for the given round against the current inbox and
 // scatters its outbox. The inbox is cleared after delivery, which keeps the
 // double buffer clean without a full O(m) sweep per round: a slot is
 // non-nil only while it carries an undelivered message for a live node.
-// step is safe to call concurrently for distinct v.
 func (ex *execution) step(v int, round int32) {
 	ctx := &ex.ctxs[v]
 	ctx.round = round
@@ -165,20 +158,6 @@ func (ex *execution) step(v int, round int32) {
 			ctx.outbox[p] = nil
 		}
 	}
-}
-
-// sweepHalts marks nodes that halted during this round and reports whether
-// any node remains live. Used by the concurrent executor; the frontier
-// executor compacts its worklist instead.
-func (ex *execution) sweepHalts(round int32) bool {
-	for v := 0; v < ex.g.N(); v++ {
-		if !ex.halted[v] && ex.ctxs[v].halted {
-			ex.halted[v] = true
-			ex.haltAt[v] = round
-			ex.live--
-		}
-	}
-	return ex.live > 0
 }
 
 // flip swaps the message buffers. Stale slots need no sweep: step clears
@@ -198,7 +177,7 @@ func (ex *execution) stopPrograms() {
 	}
 }
 
-// runFrontier is the sequential executor. Per-round cost is proportional to
+// runFrontier is the round executor. Per-round cost is proportional to
 // the active frontier, not to n: each round steps exactly the live nodes
 // and compacts the worklist in place (stably, preserving increasing node
 // order) as nodes halt. This is what makes simulation wall-clock track the
@@ -212,9 +191,7 @@ func (ex *execution) runFrontier() (*Result, error) {
 		for _, v := range ex.active {
 			ex.step(int(v), round)
 			if ex.ctxs[v].halted {
-				ex.halted[v] = true
 				ex.haltAt[v] = round
-				ex.live--
 			} else {
 				ex.active[w] = v
 				w++
@@ -225,58 +202,6 @@ func (ex *execution) runFrontier() (*Result, error) {
 			return ex.collect(int(round))
 		}
 		if int(round) >= ex.maxRounds {
-			return nil, fmt.Errorf("%w: %s did not finish within %d rounds on %s",
-				ErrRoundLimit, ex.alg.Name(), ex.maxRounds, ex.g)
-		}
-		ex.flip()
-		round++
-	}
-}
-
-// runConcurrent executes one goroutine per node. Within a round, nodes read
-// disjoint inbox slices and write disjoint outbox/scatter slots, so no
-// locking is needed; rounds are separated by a channel barrier driven by
-// the coordinator.
-func (ex *execution) runConcurrent() (*Result, error) {
-	defer ex.stopPrograms()
-	n := ex.g.N()
-	start := make([]chan int32, n)
-	var wg sync.WaitGroup // per-round completion barrier
-	var lifetime sync.WaitGroup
-	for v := 0; v < n; v++ {
-		start[v] = make(chan int32, 1)
-		lifetime.Add(1)
-		go func(v int) {
-			defer lifetime.Done()
-			for round := range start[v] {
-				ex.step(v, round)
-				wg.Done()
-			}
-		}(v)
-	}
-	stopAll := func() {
-		for v := 0; v < n; v++ {
-			close(start[v])
-		}
-		lifetime.Wait()
-	}
-
-	round := int32(0)
-	for {
-		for v := 0; v < n; v++ {
-			if !ex.halted[v] {
-				wg.Add(1)
-				start[v] <- round
-			}
-		}
-		wg.Wait()
-		anyLive := ex.sweepHalts(round)
-		if !anyLive {
-			stopAll()
-			return ex.collect(int(round))
-		}
-		if int(round) >= ex.maxRounds {
-			stopAll()
 			return nil, fmt.Errorf("%w: %s did not finish within %d rounds on %s",
 				ErrRoundLimit, ex.alg.Name(), ex.maxRounds, ex.g)
 		}

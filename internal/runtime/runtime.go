@@ -5,12 +5,11 @@
 // records, for every node and every edge, the round at which its output was
 // committed — the "computation time" T_v, T_e of Definition 1.
 //
-// Two executors with identical semantics are provided: a sequential
-// frontier executor (fast, allocation-light) and a concurrent one that runs
-// one goroutine per node with channel-based round barriers — the natural Go
-// rendering of synchronous message passing. Node programs are pure
-// functions of their local state, inbox and node-private PRNG, so both
-// executors produce bit-identical results; a property test asserts this.
+// Rounds run on one executor, the frontier executor, which steps nodes in
+// increasing order. Node programs are pure functions of their local state,
+// inbox and node-private PRNG, so step order within a round cannot change
+// a result; a white-box test holds the executor to a plain all-nodes
+// reference loop.
 //
 // The frontier executor maintains an active worklist holding exactly the
 // nodes that have not halted; a node leaves the worklist at its halt round
@@ -194,8 +193,6 @@ type Config struct {
 	// MaxRounds aborts the run if some node is still live after this many
 	// rounds. Zero selects a generous default based on n.
 	MaxRounds int
-	// Concurrent selects the goroutine-per-node executor.
-	Concurrent bool
 }
 
 // ErrRoundLimit is returned when a run exceeds its round budget.
@@ -237,9 +234,6 @@ func (e *Engine) Run(alg Algorithm, cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("runtime: got %d ids for %d nodes", len(cfg.IDs), e.ex.g.N())
 	}
 	e.ex.reset(alg, cfg)
-	if cfg.Concurrent {
-		return e.ex.runConcurrent()
-	}
 	return e.ex.runFrontier()
 }
 

@@ -15,12 +15,11 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"avgloc/internal/core"
 	"avgloc/internal/graphstore"
 	"avgloc/internal/obs"
+	"avgloc/internal/par"
 	"avgloc/internal/registry"
 	"avgloc/internal/seedmix"
 	"avgloc/internal/twin"
@@ -225,11 +224,11 @@ func (o *Outcome) MarshalStable() ([]byte, error) {
 
 // Options configures execution.
 type Options struct {
-	// Parallelism is the total worker budget of the run, split between
-	// concurrent sweep rows and each row's core.Measure trial fan-out
-	// (rowWorkers × trial parallelism ≤ Parallelism). Every random stream
-	// is derived from (seed, row, trial) alone and rows merge in row
-	// order, so outcomes are byte-identical at every level.
+	// Parallelism is the total worker budget of the run, split by
+	// par.Split between concurrent sweep rows and each row's core.Measure
+	// trial fan-out (rowWorkers × trial parallelism ≤ Parallelism). Every
+	// random stream is derived from (seed, row, trial) alone and rows
+	// merge in row order, so outcomes are byte-identical at every level.
 	Parallelism int
 	// Ctx, if non-nil, cancels the run between rows: a cancelled request
 	// (client gone, deadline hit) stops paying for rows whose results
@@ -272,71 +271,6 @@ func rowSeed(seed uint64, row int) uint64 {
 	return seedmix.Derive(seed, rowSeedDomain, row)
 }
 
-// runRows executes n row jobs on up to `workers` concurrent workers,
-// handing each job the leftover worker budget as its measurement
-// parallelism (the harness rowPool split). Jobs above the lowest failing
-// row index may be skipped: the caller merges in row order and stops at the
-// first error, so their results are never read. The returned error is the
-// lowest-indexed one, independent of scheduling.
-func runRows(n, workers int, job func(row, measurePar int) error) error {
-	if workers < 1 {
-		workers = 1
-	}
-	rowWorkers := workers
-	if rowWorkers > n {
-		rowWorkers = n
-	}
-	measurePar := 1
-	if rowWorkers > 0 {
-		measurePar = workers / rowWorkers
-	}
-	if measurePar < 1 {
-		measurePar = 1
-	}
-	errs := make([]error, n)
-	if rowWorkers <= 1 {
-		for i := 0; i < n; i++ {
-			if errs[i] = job(i, measurePar); errs[i] != nil {
-				break
-			}
-		}
-	} else {
-		idx := make(chan int)
-		minFailed := int64(n)
-		var wg sync.WaitGroup
-		for w := 0; w < rowWorkers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					if int64(i) > atomic.LoadInt64(&minFailed) {
-						continue
-					}
-					if errs[i] = job(i, measurePar); errs[i] != nil {
-						for {
-							cur := atomic.LoadInt64(&minFailed)
-							if int64(i) >= cur || atomic.CompareAndSwapInt64(&minFailed, cur, int64(i)) {
-								break
-							}
-						}
-					}
-				}
-			}()
-		}
-		for i := 0; i < n; i++ {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
-	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Run executes the scenario: each row builds its graph from a row-derived
 // seed stream and measures under a row-derived measurement seed, rows run
 // concurrently under the Options.Parallelism worker budget, and results
@@ -366,7 +300,8 @@ func Run(s *Spec, opt Options) (*Outcome, error) {
 	// call below a no-op.
 	runSpan := obs.FromCtx(opt.Ctx).Span("scenario.run",
 		obs.A("hash", hash), obs.A("rows", len(rowParams)), obs.A("trials", n.Trials))
-	err = runRows(len(rowParams), opt.Parallelism, func(i, measurePar int) error {
+	rowWorkers, measurePar := par.Split(opt.Parallelism, len(rowParams))
+	err = par.Do(len(rowParams), rowWorkers, func(_, i int) error {
 		if opt.Ctx != nil && opt.Ctx.Err() != nil {
 			return opt.Ctx.Err()
 		}

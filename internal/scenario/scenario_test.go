@@ -3,10 +3,7 @@ package scenario
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
-	"sync"
 	"testing"
-	"time"
 )
 
 func mustHash(t *testing.T, s *Spec) string {
@@ -258,74 +255,6 @@ func TestRunByteIdenticalAcrossParallelism(t *testing.T) {
 		}
 		if !bytes.Equal(got, want) {
 			t.Fatalf("parallelism %d produced different bytes than sequential", par)
-		}
-	}
-}
-
-// TestRunRowsConcurrent proves rows really execute concurrently: two jobs
-// rendezvous — each waits for the other to have started — which can only
-// complete when both run at once.
-func TestRunRowsConcurrent(t *testing.T) {
-	started := make([]chan struct{}, 2)
-	for i := range started {
-		started[i] = make(chan struct{})
-	}
-	err := runRows(2, 2, func(row, _ int) error {
-		close(started[row])
-		select {
-		case <-started[1-row]:
-			return nil
-		case <-time.After(10 * time.Second):
-			return fmt.Errorf("row %d never saw its peer start: rows are sequential", row)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestRunRowsBudgetSplit: the worker budget splits between row workers and
-// per-row measurement parallelism, and never exceeds the total.
-func TestRunRowsBudgetSplit(t *testing.T) {
-	cases := []struct {
-		rows, workers, wantPar int
-	}{
-		{8, 1, 1},   // one worker: rows run sequentially
-		{2, 8, 4},   // 2 row workers × 4 trial workers
-		{8, 8, 1},   // all budget to row fan-out
-		{3, 8, 2},   // 3 row workers, 8/3 = 2 each
-		{8, 0, 1},   // no budget = sequential
-		{1, 16, 16}, // single row gets everything
-	}
-	for _, c := range cases {
-		var mu sync.Mutex
-		got := map[int]bool{}
-		if err := runRows(c.rows, c.workers, func(_, measurePar int) error {
-			mu.Lock()
-			got[measurePar] = true
-			mu.Unlock()
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != 1 || !got[c.wantPar] {
-			t.Fatalf("rows=%d workers=%d: measure parallelism %v, want %d", c.rows, c.workers, got, c.wantPar)
-		}
-	}
-}
-
-// TestRunRowsFirstErrorWins: the lowest-indexed error is returned whatever
-// the scheduling.
-func TestRunRowsFirstErrorWins(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		err := runRows(8, workers, func(row, _ int) error {
-			if row >= 2 {
-				return fmt.Errorf("row %d failed", row)
-			}
-			return nil
-		})
-		if err == nil || err.Error() != "row 2 failed" {
-			t.Fatalf("workers=%d: got %v, want row 2's error", workers, err)
 		}
 	}
 }
